@@ -44,6 +44,7 @@ AttackOutcome dse_impl(const LoadedT& loaded, std::uint64_t fn_addr,
   ShadowConfig scfg;
   scfg.toa_memory = cfg.toa_memory;
   scfg.max_insns = cfg.max_trace_insns;
+  scfg.deadline = &deadline;  // a trace must not overrun the attack budget
 
   while (!queue.empty() && !deadline.expired()) {
     std::uint64_t input = queue.front();

@@ -31,6 +31,7 @@ SeOutcome se_attack(const Memory& loaded, std::uint64_t fn_addr,
 
   ShadowConfig scfg;
   scfg.max_insns = cfg.max_trace_insns;
+  scfg.deadline = &deadline;
 
   while (!queue.empty() && !deadline.expired() &&
          out.states_forked < cfg.max_states) {

@@ -592,7 +592,15 @@ ShadowResult Shadow::run(std::uint64_t fn_addr, std::uint64_t arg,
   cpu_.set_reg(Reg::RSP, rsp);
   cpu_.set_rip(fn_addr);
 
+  std::uint64_t next_poll = kDeadlinePollInsns;
   while (cpu_.insn_count() < cfg_.max_insns) {
+    if (cfg_.deadline && cpu_.insn_count() >= next_poll) {
+      next_poll += kDeadlinePollInsns;
+      if (cfg_.deadline->expired()) {
+        result_.status = CpuStatus::kBudgetExceeded;
+        break;
+      }
+    }
     std::uint64_t pc = cpu_.rip();
     std::uint8_t buf[16];
     for (int k = 0; k < 16; ++k) buf[k] = mem_.read_u8(pc + k);

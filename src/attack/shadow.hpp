@@ -12,6 +12,7 @@
 
 #include "cpu/cpu.hpp"
 #include "solver/expr.hpp"
+#include "support/stopwatch.hpp"
 
 namespace raindrop {
 struct LoadedImage;
@@ -38,7 +39,13 @@ struct ShadowConfig {
   int toa_window = 256;         // bytes around the concrete address
   std::uint64_t max_insns = 5'000'000;
   bool collect_trace = false;   // record TraceEntry stream (TDS)
+  // Optional wall-clock budget, polled every kDeadlinePollInsns
+  // simulated instructions; an expired deadline ends the run with the
+  // status a max_insns stop returns (kBudgetExceeded). Not owned.
+  const Deadline* deadline = nullptr;
 };
+
+inline constexpr std::uint64_t kDeadlinePollInsns = 1u << 20;
 
 struct ShadowResult {
   CpuStatus status = CpuStatus::kHalted;

@@ -1,9 +1,10 @@
 // Shareable superblock cache built over a frozen Memory snapshot
 // (DESIGN.md §10). A CodeCache decodes once, up front, and is then
 // imported read-only by any number of Cpus whose Memory descends from
-// the snapshot (Memory::clone of a frozen Memory): call_function clones
-// per call, the shadow/ropmemu attack engines clone per run, and all of
-// them start warm instead of re-decoding the same .text.
+// the snapshot (Memory::clone of a frozen Memory): each of
+// call_function's warm call slots imports it once, the shadow/ropmemu
+// attack engines clone per run, and all of them start warm instead of
+// re-decoding the same .text.
 //
 // Cached blocks carry their pre-lowered µop streams (DecodedBlock::uops,
 // DESIGN.md §11): decode_superblock lowers at decode time, so importing

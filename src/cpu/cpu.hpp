@@ -206,6 +206,22 @@ class Cpu {
   const std::vector<std::int64_t>& trace_probes() const { return probes_; }
   void clear_trace_probes() { probes_.clear(); }
 
+  // Returns the architectural state to that of a freshly constructed Cpu:
+  // registers, rip, flags, instruction count, fault and trace probes.
+  // Decoded blocks, successor links, the return-target cache, the trace
+  // arena, an imported CodeCache, hooks, toggles and cache_stats() all
+  // survive -- page generations keep them coherent with whatever the
+  // Memory holds next (a call slot reuses its Cpu this way after
+  // Memory::reset_to, DESIGN.md §10).
+  void reset_state() {
+    regs_.fill(0);
+    rip_ = 0;
+    flags_ = 0;
+    insn_count_ = 0;
+    fault_.reset();
+    probes_.clear();
+  }
+
   // Hook installation. set_insn_hook is the legacy single-hook entry
   // point; set_hooks installs a full stratified bundle.
   using InsnHook = HookSet::InsnHook;

@@ -1,5 +1,6 @@
 #include "image/image.hpp"
 
+#include <mutex>
 #include <stdexcept>
 
 #include "support/binio.hpp"
@@ -167,8 +168,45 @@ Memory Image::load() const {
   return mem;
 }
 
+// One warm executor of a LoadedImage: a descendant of its frozen snapshot
+// and the Cpu bound to it. Heap-allocated and never moved, so the Cpu's
+// Memory pointer stays valid for the slot's life.
+struct CallSlot {
+  explicit CallSlot(const LoadedImage& li) : mem(li.mem.clone()), cpu(&mem) {
+    cpu.import_cache(li.cache);
+  }
+  CallSlot(const CallSlot&) = delete;
+  CallSlot& operator=(const CallSlot&) = delete;
+
+  Memory mem;
+  Cpu cpu;
+};
+
+// Free list of idle slots. A caller owns a slot exclusively between
+// take() and give(), so the pool holds only as many slots as there were
+// concurrent callers.
+class CallSlots {
+ public:
+  std::unique_ptr<CallSlot> take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return nullptr;
+    std::unique_ptr<CallSlot> s = std::move(free_.back());
+    free_.pop_back();
+    return s;
+  }
+  void give(std::unique_ptr<CallSlot> s) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(s));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<CallSlot>> free_;
+};
+
 LoadedImage Image::load_shared() const {
   LoadedImage li;
+  li.slots = std::make_shared<CallSlots>();
   li.mem = load();
   li.mem.freeze();
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
@@ -282,10 +320,25 @@ CallResult call_function(const Memory& loaded, std::uint64_t fn_addr,
 CallResult call_function(const LoadedImage& li, std::uint64_t fn_addr,
                          std::span<const std::uint64_t> args,
                          std::uint64_t insn_budget) {
-  Memory mem = li.mem.clone();
-  Cpu cpu(&mem);
-  cpu.import_cache(li.cache);
-  return call_on(cpu, mem, fn_addr, args, insn_budget);
+  // A slot whose Cpu has discarded this many stale blocks is retired
+  // instead of pooled: discarded blocks keep their arena nodes until the
+  // Cpu dies, and calls that rewrite their own code would otherwise grow
+  // a pooled slot without bound.
+  constexpr std::uint64_t kMaxSlotStaleBlocks = 4096;
+  std::unique_ptr<CallSlot> slot;
+  if (li.slots) slot = li.slots->take();
+  if (slot && slot->mem.reset_to(li.mem)) {
+    slot->cpu.reset_state();
+  } else {
+    slot = std::make_unique<CallSlot>(li);
+  }
+  // A throw unwinds past the give() below: the slot is destroyed, never
+  // pooled half-run.
+  CallResult r = call_on(slot->cpu, slot->mem, fn_addr, args, insn_budget);
+  if (li.slots &&
+      slot->cpu.cache_stats().stale_redecodes < kMaxSlotStaleBlocks)
+    li.slots->give(std::move(slot));
+  return r;
 }
 
 }  // namespace raindrop

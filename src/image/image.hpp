@@ -31,13 +31,25 @@ inline constexpr std::uint64_t kStackBase = 0x7ff00000;
 inline constexpr std::uint64_t kStackSize = 0x100000;
 inline constexpr std::uint64_t kHltPad = 0x10000;  // sentinel return target
 
+class CallSlots;  // warm call slots of a LoadedImage (image.cpp)
+
 // A frozen, shareable load of an image: the immutable Memory snapshot
 // plus a CodeCache pre-decoded over it (DESIGN.md §10). Execution
 // clones `mem` and imports `cache` so every call/run starts warm; the
 // lineage check inside Cpu::import_cache keeps the pairing sound.
+//
+// `slots` is the pool of warm call slots call_function(const
+// LoadedImage&) runs on: each slot is a clone of `mem` plus the Cpu
+// bound to it, with `cache` imported once, restored to the snapshot
+// before every call (Memory::reset_to, Cpu::reset_state) so its decoded
+// blocks carry over from call to call. The pool is thread-safe, grows
+// only to the number of concurrent callers, and is shared by copies of
+// this LoadedImage. Null on a default-constructed LoadedImage: each call
+// then builds a slot and drops it.
 struct LoadedImage {
   Memory mem;                              // frozen (Memory::freeze)
   std::shared_ptr<const CodeCache> cache;  // may be null (empty image)
+  std::shared_ptr<CallSlots> slots;        // set by Image::load_shared
 };
 
 struct FunctionSym {
@@ -112,10 +124,11 @@ class Image {
 
   // Materialises the image into a *frozen* Memory snapshot bundled with
   // a CodeCache pre-decoded over every function body (plus the HLT
-  // sentinel pad). The snapshot is immutable; execute against clones
-  // (call_function / the attack engines clone per run and import the
-  // cache, so every run starts warm). Callers that mutate the loaded
-  // memory before running keep using load().
+  // sentinel pad) and an empty pool of call slots. The snapshot is
+  // immutable; execute against descendants (call_function runs on warm
+  // call slots, the attack engines clone per run and import the cache,
+  // so every run starts warm). Callers that mutate the loaded memory
+  // before running keep using load().
   LoadedImage load_shared() const;
 
   // Pre-warms `cpu`'s superblock cache for every function body in .text
@@ -162,9 +175,15 @@ CallResult call_function(const Memory& loaded, std::uint64_t fn_addr,
                          std::span<const std::uint64_t> args,
                          std::uint64_t insn_budget = 200'000'000);
 
-// Same call against a frozen LoadedImage: clones the snapshot and
-// imports its prewarmed CodeCache, so repeated calls skip the per-call
-// re-decode. Architecturally identical to the Memory overload.
+// Same call against a frozen LoadedImage, on one of its warm call slots
+// (LoadedImage::slots): the slot's Memory is restored to the snapshot and
+// its Cpu's architectural state cleared, while the blocks it decoded or
+// imported in earlier calls stay cached, so repeated calls skip both the
+// clone + import and the re-decode. A slot whose restore is refused (a
+// mismatched lineage, or a call that mapped a region) is dropped and a
+// fresh one built -- clone, Cpu, import_cache -- as is a slot whose call
+// threw. Architecturally identical to the Memory overload; safe to call
+// concurrently on one LoadedImage.
 CallResult call_function(const LoadedImage& li, std::uint64_t fn_addr,
                          std::span<const std::uint64_t> args,
                          std::uint64_t insn_budget = 200'000'000);

@@ -17,14 +17,12 @@ std::uint8_t Memory::read_u8(std::uint64_t addr) const {
 }
 
 void Memory::write_u8(std::uint64_t addr, std::uint8_t v) {
-  Page& p = page_for(addr);
-  p.bytes[addr & (kPageSize - 1)] = v;
-  ++p.gen;
+  page_for(addr).bytes[addr & (kPageSize - 1)] = v;
 }
 
 std::uint32_t Memory::page_gen(std::uint64_t addr) const {
-  const Page* p = page_for(addr);
-  return p ? p->gen : 0;
+  auto it = pages_.find(addr >> kPageBits);
+  return it == pages_.end() ? 0 : it->second.gen;
 }
 
 std::uint64_t Memory::read(std::uint64_t addr, unsigned size) const {
@@ -59,7 +57,6 @@ void Memory::write(std::uint64_t addr, std::uint64_t v, unsigned size) {
       for (unsigned i = 0; i < size; ++i)
         p.bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
-    ++p.gen;
     return;
   }
   for (unsigned i = 0; i < size; ++i)
@@ -76,7 +73,6 @@ void Memory::write_bytes(std::uint64_t addr,
                              static_cast<std::size_t>(kPageSize - off));
     Page& p = page_for(a);
     std::memcpy(p.bytes.data() + off, bytes.data() + i, n);
-    ++p.gen;
     i += n;
   }
 }
@@ -169,6 +165,32 @@ Memory Memory::clone() const {
     c.snapshot_id_ = 0;
   }
   return c;
+}
+
+bool Memory::reset_to(const Memory& a) {
+  if (frozen_ || !a.frozen_ || lineage_ != a.snapshot_id_ ||
+      regions_.size() != a.regions_.size())
+    return false;
+  // Every page a descendant holds came from the ancestor's table at clone
+  // time or from a write since (entries are never erased), so walking
+  // this table covers every page the call may have touched. A write
+  // always leaves a page with storage the ancestor does not share --
+  // copy-on-write privatises a shared page, a write to an absent page
+  // allocates -- so "storage differs from the ancestor's" is exactly
+  // "dirtied since the clone or the last restore".
+  for (auto& [key, pte] : pages_) {
+    auto it = a.pages_.find(key);
+    const bool had = it != a.pages_.end();
+    if (pte.page.get() == (had ? it->second.page.get() : nullptr))
+      continue;  // untouched
+    if (had)
+      pte.page = it->second.page;
+    else
+      pte.page.reset();
+    ++pte.gen;  // never lowered: above every generation this page reached
+  }
+  ++write_epoch_;
+  return true;
 }
 
 void Memory::freeze() {

@@ -79,8 +79,9 @@ class Memory {
   // spanned page's generation differs from the snapshot taken at build
   // time -- within one Memory, or from a frozen ancestor into its
   // clones (generations are copied at clone time and only move
-  // forward). Two *sibling* clones can reach equal generations with
-  // different bytes, so caches must never migrate between siblings.
+  // forward, across reset_to() too). Two *sibling* clones can reach
+  // equal generations with different bytes, so caches must never
+  // migrate between siblings.
   std::uint32_t page_gen(std::uint64_t addr) const;
 
   // Monotonic counter bumped every time *any* page generation moves (and
@@ -125,38 +126,60 @@ class Memory {
   // Deep copy (forking attack states, checkpoint/restore in tests).
   Memory clone() const;
 
+  // Restores this descendant in place to the bytes of its frozen
+  // ancestor (a call slot's per-call reset, DESIGN.md §10). Pages the
+  // descendant dirtied share the ancestor's storage again (pages the
+  // ancestor never had drop theirs and read 0); untouched pages are left
+  // alone. Restore never lowers a generation: every dirtied page comes
+  // back one generation above the highest it reached, so no view cached
+  // over this Memory -- before or after the restore -- can revalidate
+  // against bytes it was not built from. write_epoch() advances.
+  // Returns false and changes nothing when `frozen_ancestor` is not the
+  // frozen snapshot this Memory descends from (lineage mismatch) or when
+  // this Memory mapped a region since the clone: regions are
+  // append-only, and cached NX verdicts rely on a region count that
+  // never shrinks.
+  bool reset_to(const Memory& frozen_ancestor);
+
  private:
   struct Page {
     std::array<std::uint8_t, kPageSize> bytes{};
+  };
+  // Page-table entry. The generation lives here, not in the (possibly
+  // shared) Page, so each Memory advances its own generations: a restored
+  // page can share its ancestor's storage while keeping a generation
+  // above any this Memory reached. A null `page` reads as zeros.
+  struct Pte {
+    std::shared_ptr<Page> page;
     std::uint32_t gen = 0;  // see page_gen()
   };
 
   // Sole mutation gateway: every write path lands here exactly once per
-  // page generation bump, so the global write epoch is bumped in
-  // lockstep with the per-page generations (write_epoch() doc above).
+  // page touched, which bumps that page's generation and the global
+  // write epoch in lockstep (write_epoch() doc above).
   // Inline: this sits on the µop store fast path.
   Page& page_for(std::uint64_t addr) {
     if (frozen_)
       throw std::logic_error("raindrop::Memory: write to frozen snapshot");
     ++write_epoch_;
-    std::uint64_t key = addr >> kPageBits;
-    auto it = pages_.find(key);
-    if (it == pages_.end()) {
-      it = pages_.emplace(key, std::make_shared<Page>()).first;
-    } else if (it->second.use_count() > 1) {
+    Pte& pte = pages_[addr >> kPageBits];
+    if (!pte.page) {
+      pte.page = std::make_shared<Page>();
+    } else if (pte.page.use_count() > 1) {
       // Copy-on-write: pages are shared between cloned memories (attack
       // engines fork states constantly; deep copies would dominate
       // runtime).
-      it->second = std::make_shared<Page>(*it->second);
+      pte.page = std::make_shared<Page>(*pte.page);
     }
-    return *it->second;
+    ++pte.gen;
+    return *pte.page;
   }
   const Page* page_for(std::uint64_t addr) const {
     auto it = pages_.find(addr >> kPageBits);
-    return it == pages_.end() ? nullptr : it->second.get();
+    return it == pages_.end() ? nullptr : it->second.page.get();
   }
 
-  std::unordered_map<std::uint64_t, std::shared_ptr<Page>> pages_;
+  std::unordered_map<std::uint64_t, Pte> pages_;
   std::vector<Region> regions_;
   // Region indices ordered by start address. Regions are append-only and
   // in practice disjoint, so containment lookups binary-search this index
@@ -203,7 +226,6 @@ void Memory::write_fixed(std::uint64_t addr, std::uint64_t v) {
       for (unsigned i = 0; i < N; ++i)
         p.bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
-    ++p.gen;
     return;
   }
   write(addr, v, N);

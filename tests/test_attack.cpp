@@ -12,8 +12,10 @@
 #include "attack/ropdissector.hpp"
 #include "attack/ropmemu.hpp"
 #include "attack/se.hpp"
+#include "attack/shadow.hpp"
 #include "attack/tds.hpp"
 #include "image/image.hpp"
+#include "isa/encode.hpp"
 #include "minic/codegen.hpp"
 #include "rop/rewriter.hpp"
 #include "vmobf/vmobf.hpp"
@@ -144,6 +146,36 @@ TEST(Dse, P3FloodsThePathSpace) {
   } else {
     SUCCEED();
   }
+}
+
+// An endless loop: only a budget can stop a shadow run of it.
+TEST(Shadow, ExpiredDeadlineStopsARunAtTheNextPoll) {
+  Image img;
+  std::vector<std::uint8_t> code;
+  isa::Insn spin = isa::ib::jmp(0);
+  spin.imm = -static_cast<std::int64_t>(isa::encode_one(spin).size());
+  isa::encode(spin, code);
+  std::uint64_t fn = img.append(".text", code);
+  Memory mem = img.load();
+
+  solver::ExprPool pool;
+  attack::ShadowConfig cfg;
+  cfg.max_insns = attack::kDeadlinePollInsns + 1000;
+  attack::ShadowResult plain = attack::shadow_run(&pool, mem, fn, 0, 1, cfg);
+  EXPECT_EQ(plain.status, CpuStatus::kBudgetExceeded);
+  EXPECT_EQ(plain.insns, cfg.max_insns);
+
+  Deadline expired(0.0);
+  cfg.deadline = &expired;
+  attack::ShadowResult cut = attack::shadow_run(&pool, mem, fn, 0, 1, cfg);
+  EXPECT_EQ(cut.status, CpuStatus::kBudgetExceeded);
+  EXPECT_EQ(cut.insns, attack::kDeadlinePollInsns);
+
+  Deadline open;  // never expires: polls change nothing
+  cfg.deadline = &open;
+  attack::ShadowResult polled = attack::shadow_run(&pool, mem, fn, 0, 1, cfg);
+  EXPECT_EQ(polled.status, plain.status);
+  EXPECT_EQ(polled.insns, plain.insns);
 }
 
 TEST(Se, NativeCrackFastRopP1Slow) {

@@ -7,12 +7,15 @@
 #include <array>
 #include <random>
 #include <set>
+#include <thread>
 
 #include "cpu/cpu.hpp"
 #include "engine/engine.hpp"
 #include "image/image.hpp"
 #include "isa/encode.hpp"
 #include "minic/codegen.hpp"
+#include "vmobf/vmobf.hpp"
+#include "workload/clbg.hpp"
 #include "workload/corpus.hpp"
 #include "workload/randomfuns.hpp"
 
@@ -355,6 +358,12 @@ struct RunOutcome {
 
   bool operator==(const RunOutcome&) const = default;
 };
+
+void PrintTo(const RunOutcome& o, std::ostream* os) {
+  *os << "{status " << static_cast<int>(o.status) << ", rax " << o.rax
+      << ", insns " << o.insns << ", " << o.probes.size() << " probes, fault '"
+      << o.fault_reason << "'}";
+}
 
 RunOutcome run_loaded(const Image& img, std::uint64_t fn_addr,
                       std::uint64_t arg, const HookSet* hooks,
@@ -1336,6 +1345,231 @@ TEST(Cpu, HookAttachDetachMidTrace) {
   EXPECT_GT(final_stats.arena_dispatches, hooked_stats.arena_dispatches);
   EXPECT_GT(final_stats.fused_execs, hooked_stats.fused_execs);
   states_equal("final");
+}
+
+// -- Warm call slots (DESIGN.md §10) -------------------------------------
+
+RunOutcome outcome(const CallResult& r) {
+  return RunOutcome{r.status, r.rax, r.insns, r.probes, r.fault_reason};
+}
+
+// A function that rewrites its own code before running it: a nonzero
+// argument stores its low byte over the immediate of `mov rax, 1` at L,
+// then jumps there, so f(x) returns x & 0xff for x != 0 and 1 for x == 0
+// -- but only if the block at L is re-decoded after every write. A call
+// slot that rolled the page generation back on restore would let one
+// call's L block revalidate in a later call that writes a different
+// byte (the sibling hazard the restore rule forbids).
+std::uint64_t emit_self_patching_fn(Image* img) {
+  const isa::Insn body = ib::mov_i64(Reg::RAX, 1);
+  auto one = isa::encode_one(body);
+  auto two = isa::encode_one(ib::mov_i64(Reg::RAX, 2));
+  std::size_t k = 0;  // the immediate's low byte
+  while (k < one.size() && one[k] == two[k]) ++k;
+  EXPECT_LT(k, one.size());
+
+  std::uint64_t f = img->section_end(".text");
+  std::vector<std::uint8_t> code;
+  auto emit = [&](const isa::Insn& i) { isa::encode(i, code); };
+  auto len = [](const isa::Insn& i) {
+    return static_cast<std::int64_t>(isa::encode_one(i).size());
+  };
+  // Branch displacements are relative to the end of the branch.
+  const isa::Insn set_addr = ib::mov_i64(Reg::RCX, 0);
+  const isa::Insn store = ib::store(MemRef::base_disp(Reg::RCX), Reg::RDI, 1);
+  const isa::Insn jmp_l = ib::jmp(0);
+  std::int64_t patch_len = len(set_addr) + len(store) + len(jmp_l);
+  emit(ib::test(Reg::RDI, Reg::RDI));
+  emit(ib::jcc(Cond::E, patch_len));
+  std::uint64_t l = f + code.size() + patch_len;
+  emit(ib::mov_i64(Reg::RCX, static_cast<std::int64_t>(l + k)));
+  emit(store);
+  emit(jmp_l);
+  EXPECT_EQ(f + code.size(), l);
+  emit(body);
+  emit(ib::ret());
+  img->append(".text", code);
+  img->add_function(FunctionSym{"self_patch", f, code.size()});
+  return f;
+}
+
+struct SlotCall {
+  std::string what;
+  std::uint64_t fn = 0;
+  std::uint64_t arg = 0;
+  std::uint64_t budget = 200'000'000;
+};
+
+// Every call through the LoadedImage's warm slots must be bit-identical
+// to a fresh clone (the Memory overload), whatever ran on the slot
+// before: normal calls, budget stops, faults and self-modifying code.
+void expect_pooled_identical(const Image& img,
+                             const std::vector<SlotCall>& calls,
+                             std::vector<RunOutcome>* want_out = nullptr) {
+  Memory plain = img.load();
+  LoadedImage li = img.load_shared();
+  std::vector<RunOutcome> want;
+  for (const SlotCall& c : calls) {
+    want.push_back(outcome(call_function(plain, c.fn, {&c.arg, 1}, c.budget)));
+    RunOutcome got = outcome(call_function(li, c.fn, {&c.arg, 1}, c.budget));
+    EXPECT_EQ(got, want.back()) << c.what;
+  }
+  if (want_out) *want_out = want;
+}
+
+TEST(CallSlots, PooledCallsMatchFreshClones) {
+  Image img;
+  // ROP1.00 clbg kernel and its 2VM-IMPlast twin.
+  const std::string kernel = "fasta";
+  workload::ClbgBench bench;
+  for (auto& b : workload::clbg_suite())
+    if (b.name == kernel) bench = b;
+  ASSERT_EQ(bench.name, kernel);
+  Image rop = minic::compile(bench.module);
+  engine::ObfuscationEngine eng(&rop, rop::rop_k(1.0, 7));
+  ASSERT_EQ(eng.obfuscate_module(bench.obfuscate, 1).ok_count,
+            bench.obfuscate.size());
+  std::uint64_t rop_fn = rop.function(bench.entry)->addr;
+  minic::Module vm = bench.module;
+  for (const auto& f : bench.obfuscate)
+    ASSERT_TRUE(vmobf::virtualize_layers(vm, f, 2, vmobf::ImpWhere::Last, 3));
+  Image vm_img = minic::compile(vm);
+  std::uint64_t vm_fn = vm_img.function(bench.entry)->addr;
+
+  std::vector<RunOutcome> rop_want;
+  expect_pooled_identical(
+      rop,
+      {{"rop", rop_fn, 3},
+       {"rop budget stop", rop_fn, 4, 5000},
+       {"rop after budget stop", rop_fn, 4},
+       {"rop fault (NX)", kDataBase, 1},
+       {"rop after fault", rop_fn, 3},
+       {"rop again", rop_fn, 2}},
+      &rop_want);
+  EXPECT_EQ(rop_want[0].status, CpuStatus::kHalted);
+  EXPECT_EQ(rop_want[1].status, CpuStatus::kBudgetExceeded);
+  EXPECT_EQ(rop_want[3].status, CpuStatus::kFault);
+  EXPECT_EQ(rop_want[4], rop_want[0]);
+
+  std::vector<RunOutcome> vm_want;
+  expect_pooled_identical(vm_img,
+                          {{"vm", vm_fn, 1},
+                           {"vm budget stop", vm_fn, 1, 20000},
+                           {"vm after budget stop", vm_fn, 2},
+                           {"vm again", vm_fn, 1}},
+                          &vm_want);
+  EXPECT_EQ(vm_want[1].status, CpuStatus::kBudgetExceeded);
+  EXPECT_EQ(vm_want[3], vm_want[0]);
+}
+
+TEST(CallSlots, ProbedRandomFunsMatchFreshClones) {
+  workload::RandomFunSpec spec;
+  spec.control = 5;
+  spec.type = minic::Type::I8;
+  spec.seed = 4;
+  auto rf = workload::make_random_fun(spec);
+  Image img = minic::compile(rf.module);
+  engine::ObfuscationEngine eng(&img, rop::rop_k(1.0, 9));
+  ASSERT_TRUE(eng.rewrite_function(rf.name).ok);
+  std::uint64_t fn = img.function(rf.name)->addr;
+  std::vector<SlotCall> calls;
+  for (std::uint64_t x : {std::uint64_t(rf.secret_input), std::uint64_t(0),
+                          std::uint64_t(7), std::uint64_t(200)})
+    calls.push_back({"randomfun " + std::to_string(x), fn, x & 0xff});
+  calls.push_back({"randomfun budget stop", fn, 7, 50});
+  calls.push_back({"randomfun after budget stop", fn, 200});
+  std::vector<RunOutcome> want;
+  expect_pooled_identical(img, calls, &want);
+  bool probed = false;
+  for (const RunOutcome& w : want) probed |= !w.probes.empty();
+  EXPECT_TRUE(probed) << "the target must exercise TRACE probes";
+}
+
+TEST(CallSlots, SelfModifyingCallSeesFrozenBytesNextCall) {
+  Image img;
+  std::uint64_t f = emit_self_patching_fn(&img);
+  std::vector<SlotCall> calls;
+  for (std::uint64_t x : {0, 5, 7, 0, 9, 9, 0, 0x30})
+    calls.push_back({"self_patch " + std::to_string(x), f, x});
+  std::vector<RunOutcome> want;
+  expect_pooled_identical(img, calls, &want);
+  ASSERT_EQ(want.size(), calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(want[i].status, CpuStatus::kHalted) << want[i].fault_reason;
+    EXPECT_EQ(want[i].rax, calls[i].arg == 0 ? 1 : calls[i].arg)
+        << calls[i].what;
+  }
+}
+
+TEST(CallSlots, ConcurrentCallersShareOneImage) {
+  workload::RandomFunSpec spec;
+  spec.control = 0;
+  spec.type = minic::Type::I8;
+  spec.seed = 2;
+  auto rf = workload::make_random_fun(spec);
+  Image img = minic::compile(rf.module);
+  engine::ObfuscationEngine eng(&img, rop::rop_k(1.0, 5));
+  ASSERT_TRUE(eng.rewrite_function(rf.name).ok);
+  std::uint64_t fn = img.function(rf.name)->addr;
+  std::uint64_t smc = emit_self_patching_fn(&img);
+
+  Memory plain = img.load();
+  std::vector<SlotCall> calls;
+  for (std::uint64_t x = 0; x < 24; ++x) {
+    calls.push_back({"randomfun", fn, (x * 37) & 0xff});
+    calls.push_back({"self_patch", smc, x % 3 == 0 ? 0 : x});
+  }
+  calls.push_back({"fault", kDataBase, 1});
+  calls.push_back({"budget stop", fn, 3, 40});
+  std::vector<RunOutcome> want;
+  for (const SlotCall& c : calls)
+    want.push_back(outcome(call_function(plain, c.fn, {&c.arg, 1}, c.budget)));
+
+  LoadedImage li = img.load_shared();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<RunOutcome>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the calls from its own offset, so the slots
+      // see interleavings no single-threaded run produces.
+      for (int r = 0; r < kRounds; ++r)
+        for (std::size_t i = 0; i < calls.size(); ++i) {
+          const SlotCall& c = calls[(i + t * 7) % calls.size()];
+          got[t].push_back(
+              outcome(call_function(li, c.fn, {&c.arg, 1}, c.budget)));
+        }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), calls.size() * kRounds);
+    for (std::size_t j = 0; j < got[t].size(); ++j) {
+      std::size_t i = (j % calls.size() + t * 7) % calls.size();
+      EXPECT_EQ(got[t][j], want[i]) << "thread " << t << " " << calls[i].what;
+    }
+  }
+}
+
+TEST(CallSlots, DefaultLoadedImageHasNoPoolAndStillCalls) {
+  Image img;
+  std::uint64_t f = emit_self_patching_fn(&img);
+  LoadedImage warm = img.load_shared();
+  LoadedImage bare;
+  bare.mem = warm.mem;
+  bare.cache = warm.cache;
+  EXPECT_EQ(bare.slots, nullptr);
+  std::uint64_t x = 5;
+  CallResult r = call_function(bare, f, {&x, 1});
+  EXPECT_EQ(r.status, CpuStatus::kHalted);
+  EXPECT_EQ(r.rax, 5u);
+  // A copy shares the original's pool and its snapshot.
+  LoadedImage copy = warm;
+  EXPECT_EQ(copy.slots, warm.slots);
+  EXPECT_EQ(call_function(warm, f, {&x, 1}).rax, 5u);
+  x = 0;
+  EXPECT_EQ(call_function(copy, f, {&x, 1}).rax, 1u);
 }
 
 }  // namespace

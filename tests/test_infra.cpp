@@ -242,6 +242,92 @@ TEST(Memory, FreezeLineageAndImmutability) {
   EXPECT_NE(other.lineage(), id);
 }
 
+TEST(Memory, ResetToRestoresFrozenBytesAndNeverLowersGenerations) {
+  Memory m;
+  m.map_region(0x1000, 0x3000, kPermRW, "d");
+  m.map_region(0x10000, 0x2000, kPermRW, "stack");
+  m.write_u64(0x1000, 42);
+  m.write_u64(0x2000, 43);
+  m.write_u64(0x3000, 44);
+  m.freeze();
+
+  Memory c = m.clone();
+  std::uint32_t untouched_gen = c.page_gen(0x3000);
+  // Dirty an ancestor page, an absent page (stack), twice each, so the
+  // generations they reached are above the ancestor's.
+  c.write_u64(0x1000, 7);
+  c.write_u64(0x1008, 8);
+  c.write_u64(0x10000, 9);
+  c.write_u64(0x10ff8, 10);
+  c.write_u64(0x2000 - 4, 0xffffffffffffffffull);  // straddles 0x1000/0x2000
+  std::uint32_t g1 = c.page_gen(0x1000);
+  std::uint32_t g2 = c.page_gen(0x2000);
+  std::uint32_t gs = c.page_gen(0x10000);
+  EXPECT_GT(g1, m.page_gen(0x1000));
+  EXPECT_GT(gs, 0u);
+  std::uint64_t e0 = c.write_epoch();
+
+  ASSERT_TRUE(c.reset_to(m));
+  EXPECT_EQ(c.read_u64(0x1000), 42u);
+  EXPECT_EQ(c.read_u64(0x1008), 0u);
+  EXPECT_EQ(c.read_u64(0x2000), 43u);
+  EXPECT_EQ(c.read_u64(0x3000), 44u);
+  EXPECT_EQ(c.read_u64(0x10000), 0u);  // the ancestor never had the page
+  EXPECT_EQ(c.read_u64(0x10ff8), 0u);
+  EXPECT_EQ(c.read_bytes(0x1000, 0x3000), m.read_bytes(0x1000, 0x3000));
+  EXPECT_GT(c.page_gen(0x1000), g1);  // strictly above, never rolled back
+  EXPECT_GT(c.page_gen(0x2000), g2);
+  EXPECT_GT(c.page_gen(0x10000), gs);
+  EXPECT_EQ(c.page_gen(0x3000), untouched_gen);
+  EXPECT_GT(c.write_epoch(), e0);
+  EXPECT_EQ(m.read_u64(0x1000), 42u);  // the ancestor is untouched
+
+  // A second round: a restored page is written again, and the next
+  // restore still lands above everything the page reached.
+  std::uint32_t r1 = c.page_gen(0x1000);
+  std::uint32_t rs = c.page_gen(0x10000);
+  c.write_u64(0x1000, 99);
+  EXPECT_GT(c.page_gen(0x1000), r1);
+  std::uint32_t w1 = c.page_gen(0x1000);
+  ASSERT_TRUE(c.reset_to(m));
+  EXPECT_EQ(c.read_u64(0x1000), 42u);
+  EXPECT_GT(c.page_gen(0x1000), w1);
+  EXPECT_EQ(c.page_gen(0x10000), rs);  // restored earlier, untouched since
+  EXPECT_EQ(c.page_gen(0x3000), untouched_gen);
+
+  // A restored page must not alias the ancestor's storage on write.
+  c.write_u64(0x2000, 5);
+  EXPECT_EQ(m.read_u64(0x2000), 43u);
+  ASSERT_TRUE(c.reset_to(m));
+
+  // Refusals leave the Memory unchanged.
+  Memory other;
+  other.map_region(0x1000, 0x3000, kPermRW, "d");
+  other.map_region(0x10000, 0x2000, kPermRW, "stack");
+  other.freeze();
+  c.write_u64(0x1000, 1);
+  std::uint32_t before = c.page_gen(0x1000);
+  EXPECT_FALSE(c.reset_to(other));  // different lineage
+  EXPECT_FALSE(c.reset_to(c));      // not a frozen ancestor
+  Memory unfrozen;
+  EXPECT_FALSE(unfrozen.reset_to(m));
+  EXPECT_EQ(c.read_u64(0x1000), 1u);
+  EXPECT_EQ(c.page_gen(0x1000), before);
+
+  Memory mapped = m.clone();
+  mapped.map_region(0x20000, 0x1000, kPermRW, "late");
+  mapped.write_u64(0x1000, 3);
+  EXPECT_FALSE(mapped.reset_to(m));  // a region was mapped since the clone
+  EXPECT_EQ(mapped.read_u64(0x1000), 3u);
+
+  // Grandchildren descend from the same snapshot and restore to it.
+  Memory g = c.clone();
+  g.write_u64(0x3000, 2);
+  ASSERT_TRUE(g.reset_to(m));
+  EXPECT_EQ(g.read_u64(0x1000), 42u);
+  EXPECT_EQ(g.read_u64(0x3000), 44u);
+}
+
 TEST(Image, AppendPatchAndLoad) {
   Image img;
   std::uint8_t data[] = {1, 2, 3, 4};
